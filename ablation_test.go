@@ -74,7 +74,7 @@ func BenchmarkAblationMBTreeFanout(b *testing.B) {
 			if err := e.CreateAuthIndex("donate", "amount"); err != nil {
 				b.Fatal(err)
 			}
-			ali := e.AuthIndex("donate", "amount")
+			ali := e.CurrentView().AuthIndex("donate", "amount")
 			lo, hi := types.Dec(bench.RangeLo), types.Dec(bench.RangeHi)
 			var voBytes int
 			b.ResetTimer()

@@ -358,7 +358,7 @@ func authEngine(b *testing.B) *core.Engine {
 // ship-all-blocks baseline (Fig. 17) as custom metrics.
 func BenchmarkFig17VOSize(b *testing.B) {
 	e := authEngine(b)
-	ali := e.AuthIndex("donate", "amount")
+	ali := e.CurrentView().AuthIndex("donate", "amount")
 	lo, hi := types.Dec(bench.RangeLo), types.Dec(bench.RangeHi)
 	b.Run("ALI", func(b *testing.B) {
 		var size int
@@ -372,7 +372,7 @@ func BenchmarkFig17VOSize(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			ans := &auth.BasicAnswer{Height: e.Height()}
 			for h := uint64(0); h < e.Height(); h++ {
-				blk, err := e.Block(h)
+				blk, err := e.CurrentView().Block(h)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -388,7 +388,7 @@ func BenchmarkFig17VOSize(b *testing.B) {
 // time, ALI vs baseline (Fig. 18).
 func BenchmarkFig18AuthServer(b *testing.B) {
 	e := authEngine(b)
-	ali := e.AuthIndex("donate", "amount")
+	ali := e.CurrentView().AuthIndex("donate", "amount")
 	lo, hi := types.Dec(bench.RangeLo), types.Dec(bench.RangeHi)
 	b.Run("ALI", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -400,7 +400,7 @@ func BenchmarkFig18AuthServer(b *testing.B) {
 	b.Run("Basic", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for h := uint64(0); h < e.Height(); h++ {
-				if _, err := e.Block(h); err != nil {
+				if _, err := e.CurrentView().Block(h); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -412,12 +412,12 @@ func BenchmarkFig18AuthServer(b *testing.B) {
 // ALI vs baseline (Fig. 19).
 func BenchmarkFig19AuthClient(b *testing.B) {
 	e := authEngine(b)
-	ali := e.AuthIndex("donate", "amount")
+	ali := e.CurrentView().AuthIndex("donate", "amount")
 	lo, hi := types.Dec(bench.RangeLo), types.Dec(bench.RangeHi)
 	ans := auth.Serve(ali, e.Height(), nil, lo, hi)
 	basic := &auth.BasicAnswer{Height: e.Height()}
 	for h := uint64(0); h < e.Height(); h++ {
-		blk, err := e.Block(h)
+		blk, err := e.CurrentView().Block(h)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -451,7 +451,7 @@ func BenchmarkFig20VsChainSQL1D(b *testing.B) {
 		b.Fatal(err)
 	}
 	for h := uint64(0); h < e.Height(); h++ {
-		blk, err := e.Block(h)
+		blk, err := e.CurrentView().Block(h)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -492,7 +492,7 @@ func BenchmarkFig21VsChainSQL2D(b *testing.B) {
 		b.Fatal(err)
 	}
 	for h := uint64(0); h < e.Height(); h++ {
-		blk, err := e.Block(h)
+		blk, err := e.CurrentView().Block(h)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -134,7 +134,7 @@ func main() {
 				continue
 			}
 			remote.TuneCalls(*callTimeout, *callRetries, 100*time.Millisecond)
-			res, err := node.FastSyncWithLog(*dir, remote, obs.Default, logger)
+			res, err := node.FastSync(*dir, remote, obs.Default, logger)
 			if cerr := remote.Close(); cerr != nil {
 				log.Warn("fast-sync peer close failed", "peer", p, "err", cerr)
 			}

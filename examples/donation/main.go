@@ -75,7 +75,8 @@ func main() {
 	must(engine.Flush())
 
 	// Every committed transaction carries a verifiable signature.
-	blk, err := engine.Block(engine.Height() - 1)
+	view := engine.CurrentView()
+	blk, err := view.Block(view.Height() - 1)
 	must(err)
 	for _, tx := range blk.Txs {
 		if !tx.VerifySig() {

@@ -61,8 +61,9 @@ func main() {
 	}
 	// Replicate to the other three nodes (what consensus would do) and
 	// build the ALI everywhere.
-	for h := uint64(0); h < e0.Height(); h++ {
-		blk, err := e0.Block(h)
+	v0 := e0.CurrentView()
+	for h := uint64(0); h < v0.Height(); h++ {
+		blk, err := v0.Block(h)
 		must(err)
 		for _, e := range engines[1:] {
 			must(e.ApplyBlock(blk))

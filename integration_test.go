@@ -53,7 +53,7 @@ func buildCluster(t *testing.T, n int) ([]*core.Engine, []consensus.Committer) {
 	if err := e0.FlushAt(1); err != nil {
 		t.Fatal(err)
 	}
-	blk, err := e0.Block(0)
+	blk, err := e0.CurrentView().Block(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,8 +143,8 @@ func assertConverged(t *testing.T, engines []*core.Engine, total int) {
 			t.Fatalf("engine %d height %d, engine 0 %d", i+1, e.Height(), h0)
 		}
 		for h := uint64(0); h < h0; h++ {
-			a, _ := engines[0].Block(h)
-			b, _ := e.Block(h)
+			a, _ := engines[0].CurrentView().Block(h)
+			b, _ := e.CurrentView().Block(h)
 			if a.Header.TransRoot != b.Header.TransRoot {
 				t.Fatalf("engine %d block %d diverges", i+1, h)
 			}
@@ -337,13 +337,14 @@ func TestIntegrationCrashRecoveryAndCatchUp(t *testing.T) {
 	}
 }
 
-// byzantinePeer serves corrupted blocks.
+// byzantinePeer serves every block of an honest peer through forge.
 type byzantinePeer struct {
 	inner interface {
 		ID() string
 		Height() (uint64, error)
 		BlockAt(uint64) (*types.Block, error)
 	}
+	forge func(types.Block) *types.Block
 }
 
 func (b byzantinePeer) ID() string              { return "byzantine" }
@@ -353,59 +354,79 @@ func (b byzantinePeer) BlockAt(h uint64) (*types.Block, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Forge the payload without fixing the Merkle root.
-	forged := *blk
-	if len(forged.Txs) > 0 {
-		fake := *forged.Txs[0]
+	return b.forge(*blk), nil
+}
+
+// forgePayload rewrites a transaction without fixing the Merkle root.
+func forgePayload(blk types.Block) *types.Block {
+	if len(blk.Txs) > 0 {
+		fake := *blk.Txs[0]
 		fake.Args = append([]types.Value(nil), fake.Args...)
 		if len(fake.Args) > 0 {
 			fake.Args[len(fake.Args)-1] = types.Dec(1e12)
 		}
-		forged.Txs = append([]*types.Transaction{&fake}, forged.Txs[1:]...)
+		blk.Txs = append([]*types.Transaction{&fake}, blk.Txs[1:]...)
 	}
-	return &forged, nil
+	return &blk
 }
 
-// TestIntegrationByzantineGossipPeer verifies that forged blocks are
-// rejected at ApplyBlock (Merkle/linkage validation) and the peer is
-// evicted after repeated failures, while an honest peer still syncs the
-// follower.
+// stripSignature drops the packager signature; height, linkage and
+// body stay intact.
+func stripSignature(blk types.Block) *types.Block {
+	blk.Header.Signature = nil
+	return &blk
+}
+
+// TestIntegrationByzantineGossipPeer verifies that forged blocks — a
+// payload that breaks the Merkle root, or a header without its packager
+// signature — are rejected at ApplyBlock and the peer is evicted after
+// repeated failures, while an honest peer still syncs the follower.
 func TestIntegrationByzantineGossipPeer(t *testing.T) {
-	engines, committers := buildCluster(t, 4)
-	broker := kafka.New(kafka.Options{BatchSize: 10, BatchTimeout: 5 * time.Millisecond})
-	for _, c := range committers {
-		broker.Subscribe(c)
-	}
-	broker.Start()
-	submitLoad(t, broker, engines, 2, 10)
-	broker.Stop()
+	for _, tc := range []struct {
+		name  string
+		forge func(types.Block) *types.Block
+	}{
+		{"forged-payload", forgePayload},
+		{"stripped-signature", stripSignature},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			engines, committers := buildCluster(t, 4)
+			broker := kafka.New(kafka.Options{BatchSize: 10, BatchTimeout: 5 * time.Millisecond})
+			for _, c := range committers {
+				broker.Subscribe(c)
+			}
+			broker.Start()
+			submitLoad(t, broker, engines, 2, 10)
+			broker.Stop()
 
-	fe, err := core.Open(core.Config{Dir: t.TempDir(), Signer: "follower"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fe.Close()
-	follower := node.New(fe)
-	defer follower.Close()
+			fe, err := core.Open(core.Config{Dir: t.TempDir(), Signer: "follower"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fe.Close()
+			follower := node.New(fe)
+			defer follower.Close()
 
-	evil := byzantinePeer{inner: &node.Local{Node: node.New(engines[0]), Name: "evil"}}
-	follower.Gossip.AddPeer(evil)
-	for i := 0; i < 5; i++ {
-		follower.Gossip.Round()
-	}
-	if fe.Height() != 0 {
-		t.Fatalf("follower accepted %d forged blocks", fe.Height())
-	}
-	if ids := follower.Gossip.PeerIDs(); len(ids) != 0 {
-		t.Errorf("byzantine peer not evicted: %v", ids)
-	}
+			evil := byzantinePeer{inner: &node.Local{Node: node.New(engines[0]), Name: "evil"}, forge: tc.forge}
+			follower.Gossip.AddPeer(evil)
+			for i := 0; i < 5; i++ {
+				follower.Gossip.Round()
+			}
+			if fe.Height() != 0 {
+				t.Fatalf("follower accepted %d forged blocks", fe.Height())
+			}
+			if ids := follower.Gossip.PeerIDs(); len(ids) != 0 {
+				t.Errorf("byzantine peer not evicted: %v", ids)
+			}
 
-	// An honest peer completes the sync.
-	honest := &node.Local{Node: node.New(engines[1]), Name: "honest"}
-	follower.Gossip.AddPeer(honest)
-	follower.Gossip.SyncOnce()
-	if fe.Height() != engines[1].Height() {
-		t.Fatalf("honest sync reached %d of %d", fe.Height(), engines[1].Height())
+			// An honest peer completes the sync.
+			honest := &node.Local{Node: node.New(engines[1]), Name: "honest"}
+			follower.Gossip.AddPeer(honest)
+			follower.Gossip.SyncOnce()
+			if fe.Height() != engines[1].Height() {
+				t.Fatalf("honest sync reached %d of %d", fe.Height(), engines[1].Height())
+			}
+		})
 	}
 }
 

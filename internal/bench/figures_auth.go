@@ -62,13 +62,14 @@ type authMetrics struct {
 // runs per phase, like the other harnesses).
 func runALI(e *core.Engine, table, col string, lo, hi types.Value) (authMetrics, error) {
 	var m authMetrics
-	ali := e.AuthIndex(table, col)
+	v := e.CurrentView()
+	ali := v.AuthIndex(table, col)
 	if ali == nil {
 		return m, fmt.Errorf("bench: no ALI on %s.%s", table, col)
 	}
 	for r := 0; r < 3; r++ {
 		t0 := time.Now()
-		ans := auth.Serve(ali, e.Height(), nil, lo, hi)
+		ans := auth.Serve(ali, v.Height(), nil, lo, hi)
 		server := time.Since(t0)
 		t1 := time.Now()
 		if _, _, err := auth.VerifyAnswer(ans, lo, hi); err != nil {
@@ -90,11 +91,12 @@ func runALI(e *core.Engine, table, col string, lo, hi types.Value) (authMetrics,
 func runBasic(e *core.Engine, match func(*types.Transaction) bool) (authMetrics, error) {
 	var m authMetrics
 	headers := e.Headers()
+	v := e.CurrentView()
 	for r := 0; r < 3; r++ {
 		t0 := time.Now()
-		ans := &auth.BasicAnswer{Height: e.Height()}
-		for h := uint64(0); h < e.Height(); h++ {
-			b, err := e.Block(h)
+		ans := &auth.BasicAnswer{Height: v.Height()}
+		for h := uint64(0); h < v.Height(); h++ {
+			b, err := v.Block(h)
 			if err != nil {
 				return m, err
 			}

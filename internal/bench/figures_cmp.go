@@ -18,8 +18,9 @@ func chainsqlReplica(e *core.Engine) (*chainsql.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	for h := uint64(0); h < e.Height(); h++ {
-		b, err := e.Block(h)
+	v := e.CurrentView()
+	for h := uint64(0); h < v.Height(); h++ {
+		b, err := v.Block(h)
 		if err != nil {
 			return nil, err
 		}

@@ -139,7 +139,7 @@ func timeFastSync(dir string, peer node.QueryNode, height uint64) (time.Duration
 
 	reg := obs.NewRegistry(clock.UnixMicro)
 	start := time.Now()
-	if _, err := node.FastSync(syncDir, peer, reg); err != nil {
+	if _, err := node.FastSync(syncDir, peer, reg, nil); err != nil {
 		return 0, err
 	}
 	e, err := core.Open(core.Config{Dir: syncDir, HistogramDepth: 100, Obs: reg})

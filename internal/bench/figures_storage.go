@@ -100,11 +100,12 @@ func storageRow(dir string, blocks int, mmap, compress bool) ([]string, string, 
 	// Cold scan: every block through the store with the cache off,
 	// folding the encoded bytes into the cross-tier digest.
 	h := sha256.New()
-	n := e.NumBlocks()
+	v := e.CurrentView()
+	n := v.NumBlocks()
 	txs := make([]int, n) // per-block tx counts (DDL blocks are short)
 	start := time.Now()
 	for bid := 0; bid < n; bid++ {
-		b, err := e.Block(uint64(bid))
+		b, err := v.Block(uint64(bid))
 		if err != nil {
 			return nil, "", err
 		}
@@ -120,7 +121,7 @@ func storageRow(dir string, blocks int, mmap, compress bool) ([]string, string, 
 	start = time.Now()
 	for i := 0; i < points; i++ {
 		bid := rng.Intn(n)
-		if _, err := e.Tx(uint64(bid), uint32(rng.Intn(txs[bid]))); err != nil {
+		if _, err := v.Tx(uint64(bid), uint32(rng.Intn(txs[bid]))); err != nil {
 			return nil, "", err
 		}
 	}

@@ -157,13 +157,13 @@ func (b *Broker) run() {
 	for {
 		select {
 		case <-b.stopCh:
-			b.cut() // drain
+			b.cut(true) // drain
 			b.failRemaining()
 			return
 		case <-b.wakeCh:
-			b.cut()
+			b.cut(false)
 		case <-timer.C:
-			b.cut()
+			b.cut(true)
 		}
 		if !timer.Stop() {
 			select {
@@ -176,12 +176,15 @@ func (b *Broker) run() {
 }
 
 // cut delivers full batches while the queue holds at least BatchSize
-// transactions, then one final partial batch (timeout semantics).
-func (b *Broker) cut() {
+// transactions. With partial set (batch timeout, shutdown) it then
+// delivers the remainder as one final partial batch; a size wake-up
+// leaves the remainder queued to fill up, so a partial batch is cut
+// only when BatchTimeout elapses.
+func (b *Broker) cut(partial bool) {
 	for {
 		b.mu.Lock()
 		n := len(b.queue)
-		if n == 0 {
+		if n == 0 || (n < b.opts.BatchSize && !partial) {
 			b.mu.Unlock()
 			return
 		}

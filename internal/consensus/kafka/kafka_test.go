@@ -75,6 +75,79 @@ func TestBatchBySize(t *testing.T) {
 	}
 }
 
+// gateCommitter holds every CommitBlock until release is closed.
+type gateCommitter struct {
+	memCommitter
+	entered atomic.Int64
+	release chan struct{}
+}
+
+func (g *gateCommitter) CommitBlock(txs []*types.Transaction, ts int64) (*types.Block, error) {
+	g.entered.Add(1)
+	<-g.release
+	return g.memCommitter.CommitBlock(txs, ts)
+}
+
+// TestSizeWakeLeavesRemainderQueued queues two submissions while a full
+// batch is being delivered. The size wake-up must not cut them as a
+// partial batch: they wait for two more and go out as a second full
+// batch. (Cutting them early stranded any later submissions below
+// BatchSize until the batch timeout, an hour here.)
+func TestSizeWakeLeavesRemainderQueued(t *testing.T) {
+	c := &gateCommitter{release: make(chan struct{})}
+	b := New(Options{BatchSize: 4, BatchTimeout: time.Hour})
+	b.Subscribe(c)
+	if err := b.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer b.Stop()
+
+	errs := make(chan error, 8)
+	submit := func(from, to int) {
+		for i := from; i < to; i++ {
+			go func(i int) { errs <- b.Submit(tx(i)) }(i)
+		}
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	queued := func() int {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		return len(b.queue)
+	}
+	submit(0, 4)
+	waitFor("the first batch to reach the committer", func() bool { return c.entered.Load() == 1 })
+	submit(4, 6)
+	waitFor("two queued submissions", func() bool { return queued() == 2 })
+	close(c.release)
+	submit(6, 8)
+	for i := 0; i < 8; i++ {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Errorf("submit: %v", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of 8 submissions acknowledged; the rest are stranded", i)
+		}
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, blk := range c.blocks {
+		if len(blk) != 4 {
+			t.Errorf("batch %d has %d txs, want 4", i, len(blk))
+		}
+	}
+}
+
 func TestBatchByTimeout(t *testing.T) {
 	c := &memCommitter{}
 	b := New(Options{BatchSize: 1000, BatchTimeout: 20 * time.Millisecond})

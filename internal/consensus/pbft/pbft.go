@@ -114,6 +114,13 @@ type request struct {
 	done chan error
 }
 
+// pending is one proposed batch awaiting its reply quorum: the waiting
+// submissions and each replica's execution result so far, as text.
+type pending struct {
+	reqs    []request
+	results map[int]string
+}
+
 // replica is one PBFT node.
 type replica struct {
 	id      int
@@ -146,7 +153,7 @@ type Cluster struct {
 
 	mu       sync.Mutex
 	queue    []request
-	inFlight map[[32]byte][]request // digest -> waiting clients
+	inFlight map[[32]byte]*pending // digest -> waiting clients and replies
 	running  bool
 	stopCh   chan struct{}
 	wg       sync.WaitGroup
@@ -157,7 +164,7 @@ type Cluster struct {
 	// once that replica crashes and stops adopting new views.
 	curView atomic.Int64
 
-	progressCh chan struct{} // signalled on every execution, feeds the view-change timer
+	progressCh chan struct{} // signalled on every client reply, feeds the view-change timer
 }
 
 // New builds a cluster over the given committers; len(committers) must
@@ -172,7 +179,7 @@ func New(opts Options, committers []consensus.Committer) (*Cluster, error) {
 		opts:       opts,
 		n:          n,
 		commit:     committers,
-		inFlight:   make(map[[32]byte][]request),
+		inFlight:   make(map[[32]byte]*pending),
 		progressCh: make(chan struct{}, 1),
 	}
 	for i := 0; i < n; i++ {
@@ -235,23 +242,24 @@ func (c *Cluster) Stop() error {
 	c.wg.Wait()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, rs := range c.inFlight {
-		for _, r := range rs {
+	for _, p := range c.inFlight {
+		for _, r := range p.reqs {
 			r.done <- ErrStopped
 		}
 	}
 	for _, r := range c.queue {
 		r.done <- ErrStopped
 	}
-	c.inFlight = make(map[[32]byte][]request)
+	c.inFlight = make(map[[32]byte]*pending)
 	c.queue = nil
 	return nil
 }
 
-// Submit queues a transaction and blocks until its batch executes (the
-// Tendermint-style reply) — or until the batch CheckTx step rejects it
-// with ErrRejected. Signature verification happens at batch-cut time,
-// fanned out over the worker pool, so submission itself is queue-only.
+// Submit queues a transaction and blocks until f+1 replicas report the
+// same execution result for its batch (the PBFT client reply) — or
+// until the batch CheckTx step rejects it with ErrRejected. Signature
+// verification happens at batch-cut time, fanned out over the worker
+// pool, so submission itself is queue-only.
 func (c *Cluster) Submit(tx *types.Transaction) error {
 	done := make(chan error, 1)
 	c.mu.Lock()
@@ -330,7 +338,12 @@ func (c *Cluster) propose() {
 	}
 	d := batchDigest(txs)
 	c.mu.Lock()
-	c.inFlight[d] = append(c.inFlight[d], batch...)
+	p := c.inFlight[d]
+	if p == nil {
+		p = &pending{results: make(map[int]string)}
+		c.inFlight[d] = p
+	}
+	p.reqs = append(p.reqs, batch...)
 	view := int(c.curView.Load())
 	c.mu.Unlock()
 
@@ -502,9 +515,9 @@ func (r *replica) handle(m message) {
 				r.nextSeq = r.executed
 				c.mu.Lock()
 				var batches [][]*types.Transaction
-				for _, reqs := range c.inFlight {
-					txs := make([]*types.Transaction, len(reqs))
-					for i, q := range reqs {
+				for _, p := range c.inFlight {
+					txs := make([]*types.Transaction, len(p.reqs))
+					for i, q := range p.reqs {
 						txs[i] = q.tx
 					}
 					batches = append(batches, txs)
@@ -536,23 +549,40 @@ func (r *replica) executeReady() {
 			mBatchTxs.Observe(int64(len(in.batch)))
 			mCommitMicros.Observe(c.opts.Now() - start)
 		}
+		c.reply(r.id, in.digest, err)
+	}
+}
 
-		// Replica 0 acts as the client-facing replier: in full PBFT the
-		// client waits for f+1 matching replies; with in-process replicas
-		// executing deterministically, one reply observation suffices.
-		if r.id == 0 {
-			c.mu.Lock()
-			reqs := c.inFlight[in.digest]
-			delete(c.inFlight, in.digest)
-			c.mu.Unlock()
-			for _, q := range reqs {
-				q.done <- err
-			}
-			select {
-			case c.progressCh <- struct{}{}:
-			default:
-			}
+// reply records replica id's execution result for a batch. As in full
+// PBFT, the waiting clients accept a result once f+1 replicas report it
+// — at least one of them is correct — so Submit returns only after that
+// many replicas have executed the batch.
+func (c *Cluster) reply(id int, digest [32]byte, err error) {
+	c.mu.Lock()
+	p := c.inFlight[digest]
+	if p == nil {
+		c.mu.Unlock()
+		return
+	}
+	p.results[id] = fmt.Sprint(err)
+	matching := 0
+	for _, res := range p.results {
+		if res == p.results[id] {
+			matching++
 		}
+	}
+	if matching < c.opts.F+1 {
+		c.mu.Unlock()
+		return
+	}
+	delete(c.inFlight, digest)
+	c.mu.Unlock()
+	for _, q := range p.reqs {
+		q.done <- err
+	}
+	select {
+	case c.progressCh <- struct{}{}:
+	default:
 	}
 }
 

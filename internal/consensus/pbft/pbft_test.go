@@ -37,6 +37,25 @@ func (m *memCommitter) total() int {
 	return n
 }
 
+// waitTotals polls until every replica in mems has committed want
+// transactions or timeout passes. Submit returns after f+1 matching
+// replies, so the other replicas may still be executing.
+func waitTotals(mems []*memCommitter, want int, timeout time.Duration) {
+	deadline := time.Now().Add(timeout)
+	for time.Now().Before(deadline) {
+		done := true
+		for _, m := range mems {
+			if m.total() != want {
+				done = false
+			}
+		}
+		if done {
+			return
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 func committers(n int) ([]consensus.Committer, []*memCommitter) {
 	mems := make([]*memCommitter, n)
 	out := make([]consensus.Committer, n)
@@ -74,20 +93,7 @@ func TestNormalCaseCommitsEverywhere(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	// Wait for the non-replying replicas to finish executing.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		done := true
-		for _, m := range mems {
-			if m.total() != 40 {
-				done = false
-			}
-		}
-		if done {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitTotals(mems, 40, 2*time.Second)
 	for i, m := range mems {
 		if m.total() != 40 {
 			t.Errorf("replica %d committed %d of 40", i, m.total())
@@ -123,6 +129,7 @@ func TestToleratesCrashedBackup(t *testing.T) {
 			t.Fatalf("submit with crashed backup: %v", err)
 		}
 	}
+	waitTotals(mems[:3], 8, 2*time.Second)
 	if mems[0].total() != 8 {
 		t.Errorf("replica 0 committed %d", mems[0].total())
 	}

@@ -12,7 +12,9 @@ import (
 // exactly the unsigned submitters and drive consensus over the signed
 // remainder on every replica. (Proposals are cut on the batch timer, so
 // the stream may span several proposals; the per-submitter verdicts and
-// replica totals are timing-independent.)
+// replica totals are timing-independent. Submit returns once f+1
+// replicas have executed, so the totals are read after waiting, with a
+// deadline, for all four.)
 func TestRequireSigsMixedBatch(t *testing.T) {
 	key := ed25519.NewKeyFromSeed(make([]byte, ed25519.SeedSize))
 	cs, mems := committers(4)
@@ -49,6 +51,7 @@ func TestRequireSigsMixedBatch(t *testing.T) {
 			t.Errorf("unsigned tx %d: err = %v, want ErrRejected", i, err)
 		}
 	}
+	waitTotals(mems, 4, 5*time.Second)
 	for r, m := range mems {
 		if got := m.total(); got != 4 {
 			t.Errorf("replica %d committed %d txs, want the 4 signed ones", r, got)

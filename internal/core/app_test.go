@@ -106,7 +106,7 @@ func TestContractDeployInvoke(t *testing.T) {
 	// Deployment replays on a follower applying the same blocks.
 	e2 := testEngine(t, Config{})
 	for h := uint64(0); h < e.Height(); h++ {
-		b, err := e.Block(h)
+		b, err := e.CurrentView().Block(h)
 		if err != nil {
 			t.Fatal(err)
 		}

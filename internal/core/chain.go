@@ -5,25 +5,20 @@ import (
 
 	"sebdb/internal/auth"
 	"sebdb/internal/cache"
-	"sebdb/internal/index/bitmap"
-	"sebdb/internal/index/blockindex"
 	"sebdb/internal/index/layered"
 	"sebdb/internal/mbtree"
 	"sebdb/internal/parallel"
-	"sebdb/internal/schema"
 	"sebdb/internal/types"
 )
 
-// The methods in this file implement exec.Chain: the read surface the
-// query operators run against, with the configured cache policy
-// interposed between them and the block files.
+// block and tx are the engine's cache-interposed chain reads: the
+// configured cache policy sits between them and the block files. Query
+// operators reach them only through a View, which bounds them to its
+// pinned height and is the module's sole exec.Chain.
 
-// NumBlocks returns the chain height.
-func (e *Engine) NumBlocks() int { return e.store.Count() }
-
-// Block reads a block, serving and populating the block cache when the
+// block reads a block, serving and populating the block cache when the
 // engine runs in CacheBlocks mode.
-func (e *Engine) Block(bid uint64) (*types.Block, error) {
+func (e *Engine) block(bid uint64) (*types.Block, error) {
 	key := fmt.Sprintf("b:%d", bid)
 	if e.blockCache != nil {
 		if v, ok := e.blockCache.Get(key); ok {
@@ -46,10 +41,10 @@ func (e *Engine) Block(bid uint64) (*types.Block, error) {
 	return b, nil
 }
 
-// Tx reads one transaction by (block, position). In CacheTxs mode the
+// tx reads one transaction by (block, position). In CacheTxs mode the
 // individual transaction is cached — the paper's transaction cache,
 // which §VII-H shows beating the block cache for index-driven queries.
-func (e *Engine) Tx(bid uint64, pos uint32) (*types.Transaction, error) {
+func (e *Engine) tx(bid uint64, pos uint32) (*types.Transaction, error) {
 	key := fmt.Sprintf("t:%d:%d", bid, pos)
 	if e.txCache != nil {
 		if v, ok := e.txCache.Get(key); ok {
@@ -60,7 +55,7 @@ func (e *Engine) Tx(bid uint64, pos uint32) (*types.Transaction, error) {
 	if e.blockCache != nil {
 		// Block-cache policy: whole blocks are the cache unit, so route
 		// the read through them.
-		b, err := e.Block(bid)
+		b, err := e.block(bid)
 		if err != nil {
 			return nil, err
 		}
@@ -80,29 +75,6 @@ func (e *Engine) Tx(bid uint64, pos uint32) (*types.Transaction, error) {
 		e.txCache.Put(key, tx, int64(tx.Size()))
 	}
 	return tx, nil
-}
-
-// BlockIdx returns the live block-level index (reads that need pinned
-// semantics go through CurrentView().BlockIdx() instead).
-func (e *Engine) BlockIdx() blockindex.Reader { return e.blockIdx }
-
-// TableBlocks returns the table-level bitmap for a table name or a
-// "senid:<id>" key.
-func (e *Engine) TableBlocks(name string) *bitmap.Bitmap {
-	return e.tableIdx.Blocks(name)
-}
-
-// Layered returns the layered index on table.col (or the global system
-// index for table == ""), or nil when absent. It answers from the
-// current view's immutable map — no engine lock — so the engine's
-// exec.Chain surface is as contention-free as the view's.
-func (e *Engine) Layered(table, col string) *layered.Index {
-	return e.CurrentView().Layered(table, col)
-}
-
-// Table resolves a table schema.
-func (e *Engine) Table(name string) (*schema.Table, error) {
-	return e.catalog.Lookup(name)
 }
 
 // CacheStats snapshots the active cache's counters: cumulative hits,
@@ -141,7 +113,7 @@ func (e *Engine) sampleColumn(spec indexSpec, limit int) ([]float64, error) {
 	var out []float64
 	err := parallel.Ordered(e.Parallelism(), e.store.Count(),
 		func(bid int) ([]float64, error) {
-			b, err := e.Block(uint64(bid))
+			b, err := e.block(uint64(bid))
 			if err != nil {
 				return nil, err
 			}
@@ -342,10 +314,4 @@ func (e *Engine) backfillALI(spec indexSpec, ali *auth.ALI, lo, hi uint64) error
 			ali.AppendBlock(lo+uint64(i), recs)
 			return nil
 		})
-}
-
-// AuthIndex returns the ALI on table.col, or nil. Like Layered it
-// answers from the current view's immutable map, lock-free.
-func (e *Engine) AuthIndex(table, col string) *auth.ALI {
-	return e.CurrentView().AuthIndex(table, col)
 }

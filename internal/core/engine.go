@@ -480,7 +480,7 @@ func (e *Engine) Height() uint64 { return uint64(e.store.Count()) }
 func (e *Engine) Recorder() *obs.Recorder { return e.cfg.Recorder }
 
 // Parallelism returns the read and commit pipelines' worker bound
-// (>= 1); the engine satisfies exec.ParallelChain with it.
+// (>= 1).
 func (e *Engine) Parallelism() int {
 	if n := int(e.par.Load()); n > 1 {
 		return n
@@ -505,9 +505,8 @@ func (e *Engine) Headers() []types.BlockHeader { return e.store.Headers() }
 // microseconds.
 func (e *Engine) nowMicro() int64 { return e.cfg.Clock() }
 
-// Obs returns the engine's metrics registry; the engine satisfies
-// exec.ObsChain with it, so the operators report into the same
-// registry the server exposes.
+// Obs returns the engine's metrics registry; views hand it to the query
+// operators, so they report into the same registry the server exposes.
 func (e *Engine) Obs() *obs.Registry { return e.cfg.Obs }
 
 // EventLog returns the engine's base event logger (Config.Log, untagged;
@@ -783,11 +782,15 @@ func (e *Engine) syncCommitted() error {
 	return e.store.SyncBatch()
 }
 
-// ApplyBlock validates and appends a block produced elsewhere (received
-// via consensus/gossip), then indexes it. It runs the same staged
-// pipeline as CommitBlock with validation — the foreign-block
-// equivalent of prepare — fanned out off the engine lock; any due
-// checkpoint is built under the lock and persisted outside it.
+// ApplyBlock accepts a block produced elsewhere — pulled by gossip,
+// pushed to a follower or streamed by fast-sync — and indexes it. It is
+// the one place the rule for a foreign block lives: the header must
+// extend the local tip (types.BlockHeader.Extends: height, PrevHash,
+// packager signature), then the body must match the header's Merkle
+// root. It runs the same staged pipeline as CommitBlock with that
+// validation — the foreign-block equivalent of prepare — fanned out off
+// the engine lock; any due checkpoint is built under the lock and
+// persisted outside it.
 func (e *Engine) ApplyBlock(b *types.Block) error {
 	e.commitMu.Lock()
 	//sebdb:ignore-lockio reason: commitMu serialises the foreign-block pipeline including its fsync; readers never take it
@@ -801,9 +804,17 @@ func (e *Engine) ApplyBlock(b *types.Block) error {
 }
 
 // applyOne runs a foreign block through the pipeline. Callers hold
-// commitMu.
+// commitMu, which keeps the tip stable: commitMu holders are the only
+// appenders.
 func (e *Engine) applyOne(b *types.Block) (*snapshot.Checkpoint, error) {
 	start := e.cfg.Obs.Now()
+	var tip *types.BlockHeader
+	if t, ok := e.store.Tip(); ok {
+		tip = &t
+	}
+	if err := b.Header.Extends(tip); err != nil {
+		return nil, err
+	}
 	if err := b.ValidateWorkers(e.Parallelism()); err != nil {
 		return nil, err
 	}

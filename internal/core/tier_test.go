@@ -34,15 +34,15 @@ func TestTierRaceCacheReadsVsCommits(t *testing.T) {
 					return
 				default:
 				}
-				n := e.NumBlocks()
+				n := e.CurrentView().NumBlocks()
 				bid := uint64((g*13 + i) % n)
-				b, err := e.Block(bid)
+				b, err := e.CurrentView().Block(bid)
 				if err != nil {
 					t.Errorf("block %d: %v", bid, err)
 					return
 				}
 				if len(b.Txs) > 0 {
-					if _, err := e.Tx(bid, uint32(i%len(b.Txs))); err != nil {
+					if _, err := e.CurrentView().Tx(bid, uint32(i%len(b.Txs))); err != nil {
 						t.Errorf("tx %d/%d: %v", bid, i%len(b.Txs), err)
 						return
 					}

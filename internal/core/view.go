@@ -153,7 +153,7 @@ func (v *View) Block(bid uint64) (*types.Block, error) {
 	if bid >= v.height {
 		return nil, fmt.Errorf("core: block %d beyond view height %d", bid, v.height)
 	}
-	return v.e.Block(bid)
+	return v.e.block(bid)
 }
 
 // Tx reads one transaction by (block, position) inside the view.
@@ -161,7 +161,7 @@ func (v *View) Tx(bid uint64, pos uint32) (*types.Transaction, error) {
 	if bid >= v.height {
 		return nil, fmt.Errorf("core: block %d beyond view height %d", bid, v.height)
 	}
-	return v.e.Tx(bid, pos)
+	return v.e.tx(bid, pos)
 }
 
 // BlockIdx returns the view's pinned block-level index.
@@ -210,12 +210,12 @@ func (v *View) Contract(name string) (*contract.Contract, error) {
 	return c, nil
 }
 
-// Obs returns the engine's metrics registry; the view satisfies
-// exec.ObsChain with it.
+// Obs returns the engine's metrics registry, which the query operators
+// report into.
 func (v *View) Obs() *obs.Registry { return v.e.cfg.Obs }
 
-// Parallelism returns the engine's worker bound; the view satisfies
-// exec.ParallelChain with it.
+// Parallelism returns the engine's worker bound for the query
+// operators' block reads.
 func (v *View) Parallelism() int { return v.e.Parallelism() }
 
 // estimateCap bounds the second-level matches estimateLayered counts,

@@ -2,8 +2,8 @@
 // single-table selection under the three access methods (full scan,
 // table-level bitmap, layered index), the track-trace operation
 // (Algorithm 1), the on-chain join (Algorithm 2), and the on-off-chain
-// join (Algorithm 3). Each operator works against the Chain interface
-// so it can run over the live engine, a cached view, or a test fixture.
+// join (Algorithm 3). Each operator works against the Chain interface,
+// which the engine's height-pinned read view implements.
 package exec
 
 import (
@@ -22,11 +22,11 @@ import (
 	"sebdb/internal/types"
 )
 
-// Chain is the read surface the executors need. Both the live engine
-// and its height-pinned read view (core.View) implement it; queries
-// normally run against a view, so they never contend with the commit
-// pipeline's engine lock. Layered with an empty table name resolves the
-// global system-column indexes (SenID, Tname) that span every table.
+// Chain is the read surface the executors need. The engine's
+// height-pinned read view (core.View) implements it, so queries never
+// contend with the commit pipeline's engine lock. Layered with an empty
+// table name resolves the global system-column indexes (SenID, Tname)
+// that span every table.
 type Chain interface {
 	// NumBlocks returns the chain height (number of blocks).
 	NumBlocks() int
@@ -34,8 +34,8 @@ type Chain interface {
 	Block(bid uint64) (*types.Block, error)
 	// Tx reads one transaction by position, possibly from cache.
 	Tx(bid uint64, pos uint32) (*types.Transaction, error)
-	// BlockIdx returns the block-level index: the live one for the
-	// engine, a height-masked pin for a view.
+	// BlockIdx returns the block-level index, masked to the chain's
+	// height.
 	BlockIdx() blockindex.Reader
 	// TableBlocks returns the table-level bitmap for a table name.
 	TableBlocks(name string) *bitmap.Bitmap
@@ -45,6 +45,12 @@ type Chain interface {
 	Layered(table, col string) *layered.Index
 	// Table resolves a table schema.
 	Table(name string) (*schema.Table, error)
+	// Obs returns the registry the operators report into.
+	Obs() *obs.Registry
+	// Parallelism bounds the worker pool that fetches blocks and
+	// evaluates predicates concurrently (>= 1). Results are merged back
+	// in chain order, so results and Stats match a sequential run.
+	Parallelism() int
 }
 
 // Method selects the access path, mirroring the paper's SU/BU/LU runs.
@@ -222,7 +228,7 @@ func selectImpl(c Chain, table string, preds []sqlparser.Pred, win *sqlparser.Wi
 	// the same order, so they match a sequential run exactly.
 	ids := blockIDs(blocks)
 	var out []*types.Transaction
-	err = parallel.Ordered(workersOf(c), len(ids),
+	err = parallel.Ordered(c.Parallelism(), len(ids),
 		func(i int) (blockMatches, error) {
 			b, err := c.Block(ids[i])
 			if err != nil {
@@ -289,7 +295,7 @@ func layeredSelect(c Chain, tbl *schema.Table, idx *layered.Index, drive *sqlpar
 	ids := blockIDs(cand)
 
 	var out []*types.Transaction
-	err := parallel.Ordered(workersOf(c), len(ids),
+	err := parallel.Ordered(c.Parallelism(), len(ids),
 		func(i int) (blockMatches, error) {
 			bid := ids[i]
 			p := blockMatches{st: Stats{IndexProbes: 1}}

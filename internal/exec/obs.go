@@ -10,29 +10,10 @@ import (
 // exec counters. The Stats values themselves are untouched — the cost
 // model tests pin them — the registry is a second, cumulative view.
 
-// ObsChain is optionally implemented by Chains that carry their own
-// metrics registry (the engine exposes Config.Obs this way); operators
-// fall back to obs.Default otherwise.
-type ObsChain interface {
-	Chain
-	// Obs returns the registry the chain's operators report into.
-	Obs() *obs.Registry
-}
-
-// registryOf resolves the registry the operator should report to.
-func registryOf(c Chain) *obs.Registry {
-	if o, ok := c.(ObsChain); ok {
-		if r := o.Obs(); r != nil {
-			return r
-		}
-	}
-	return obs.Default
-}
-
 // recordStats folds one operator run's physical counters into the
 // registry, labelled by operator and access method.
 func recordStats(c Chain, op string, m Method, st Stats) {
-	reg := registryOf(c)
+	reg := c.Obs()
 	l := `{op="` + op + `",method="` + m.String() + `"}`
 	reg.Counter("sebdb_exec_blocks_read_total" + l).Add(uint64(st.BlocksRead))
 	reg.Counter("sebdb_exec_txs_examined_total" + l).Add(uint64(st.TxsExamined))

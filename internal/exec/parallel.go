@@ -4,28 +4,6 @@ import (
 	"sebdb/internal/index/bitmap"
 )
 
-// ParallelChain is optionally implemented by Chains whose reads may be
-// fanned across a bounded worker pool (the engine exposes its
-// Config.Parallelism this way). Operators fetch blocks and evaluate
-// predicates concurrently but always merge results back in chain
-// order, so results and Stats are identical to a sequential run.
-type ParallelChain interface {
-	Chain
-	// Parallelism returns the worker bound for parallel reads (>= 1).
-	Parallelism() int
-}
-
-// workersOf returns the worker bound for c: its declared parallelism
-// when it implements ParallelChain, else 1 (sequential).
-func workersOf(c Chain) int {
-	if p, ok := c.(ParallelChain); ok {
-		if n := p.Parallelism(); n > 1 {
-			return n
-		}
-	}
-	return 1
-}
-
 // blockIDs materialises a bitmap's set bits in ascending order, the
 // work list a parallel operator fans out over.
 func blockIDs(b *bitmap.Bitmap) []uint64 {

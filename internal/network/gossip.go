@@ -50,15 +50,10 @@ type Gossiper struct {
 // FailureThreshold is how many consecutive failed rounds evict a peer.
 const FailureThreshold = 3
 
-// NewGossiper builds a gossiper over the local applier, drawing its
-// peer-selection seed from the auto-seeded math/rand/v2 global source.
-func NewGossiper(local Applier, interval time.Duration) *Gossiper {
-	return NewGossiperSeeded(local, interval, rand.Uint64())
-}
-
-// NewGossiperSeeded fixes the peer-selection sequence, so tests and
-// simulations can reproduce a gossip schedule exactly.
-func NewGossiperSeeded(local Applier, interval time.Duration, seed uint64) *Gossiper {
+// NewGossiper builds a gossiper over the local applier. seed fixes the
+// peer-selection sequence, so tests and simulations can reproduce a
+// gossip schedule exactly; a node passes a random one.
+func NewGossiper(local Applier, interval time.Duration, seed uint64) *Gossiper {
 	if interval <= 0 {
 		interval = 100 * time.Millisecond
 	}

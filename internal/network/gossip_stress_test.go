@@ -18,7 +18,7 @@ import (
 func TestGossipLifecycleStress(t *testing.T) {
 	source := chainOf("source", 3)
 	local := &memChain{id: "local"}
-	g := NewGossiperSeeded(applierView{local}, time.Millisecond, 1)
+	g := NewGossiper(applierView{local}, time.Millisecond, 1)
 	g.AddPeer(source)
 
 	const (
@@ -88,7 +88,7 @@ func TestGossipLifecycleStress(t *testing.T) {
 
 	// The source may have been evicted by racing rounds; a fresh
 	// gossiper over the same local chain must still converge.
-	g2 := NewGossiperSeeded(applierView{local}, time.Millisecond, 2)
+	g2 := NewGossiper(applierView{local}, time.Millisecond, 2)
 	g2.AddPeer(source)
 	g2.SyncOnce()
 	if lh, sh := local.localHeight(), source.localHeight(); lh != sh {

@@ -156,7 +156,7 @@ func TestGossipCatchUp(t *testing.T) {
 	// ApplyBlock linkage (by height here) works.
 	local.blocks = append([]*types.Block(nil), source.blocks[:3]...)
 
-	g := NewGossiper(applierView{local}, time.Millisecond)
+	g := NewGossiper(applierView{local}, time.Millisecond, 1)
 	g.AddPeer(source)
 	g.Round()
 	if local.localHeight() != 10 {
@@ -167,7 +167,7 @@ func TestGossipCatchUp(t *testing.T) {
 func TestGossipBackgroundLoop(t *testing.T) {
 	source := chainOf("peer1", 5)
 	local := &memChain{id: "local"}
-	g := NewGossiper(applierView{local}, time.Millisecond)
+	g := NewGossiper(applierView{local}, time.Millisecond, 1)
 	g.AddPeer(source)
 	g.Start()
 	defer g.Stop()
@@ -195,7 +195,7 @@ func TestGossipBackgroundLoop(t *testing.T) {
 func TestGossipFailureEviction(t *testing.T) {
 	dead := &memChain{id: "dead", bad: true}
 	local := &memChain{id: "local"}
-	g := NewGossiper(applierView{local}, time.Millisecond)
+	g := NewGossiper(applierView{local}, time.Millisecond, 1)
 	g.AddPeer(dead)
 	for i := 0; i < FailureThreshold; i++ {
 		g.Round()
@@ -219,7 +219,7 @@ func TestSyncOnce(t *testing.T) {
 	// Make a's chain a prefix of b's.
 	a.blocks = append([]*types.Block(nil), b.blocks[:4]...)
 	local := &memChain{id: "local"}
-	g := NewGossiper(applierView{local}, time.Hour)
+	g := NewGossiper(applierView{local}, time.Hour, 1)
 	g.AddPeer(a)
 	g.AddPeer(b)
 	g.SyncOnce()

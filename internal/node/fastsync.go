@@ -16,10 +16,10 @@ import (
 // trust model is strict — the peer supplies nothing the node installs
 // unverified:
 //
-//   - The header chain is linkage- and signature-checked first; every
-//     streamed block body must Merkle-commit to its agreed header
-//     (storage.Append re-validates the TransRoot), so bodies are
-//     tamper-evident.
+//   - Every streamed block passes core.Engine.ApplyBlock, the same rule
+//     gossip and replica followers use: packager signature, height and
+//     PrevHash against the local tip, body against the header's Merkle
+//     root.
 //   - All derived state — catalog, contracts, table bitmaps, layered
 //     indexes, ALIs, high-water marks — is rebuilt locally from those
 //     verified bodies while they stream, and the checkpoint installed
@@ -252,26 +252,21 @@ type FastSyncResult struct {
 }
 
 // FastSync bootstraps an empty data directory from a peer. It fetches
-// the peer's checkpoint offer, independently verifies the offered
-// anchor against the peer's linkage- and signature-checked header
-// chain, then streams the block bodies for [0, Height) through a local
-// engine — each body is checked against its agreed header (hash and
-// Merkle root) and indexed as it lands, so every piece of derived state
-// is rebuilt from verified data. The peer's checkpoint payload is then
-// downloaded, CRC-checked and cross-validated against the local rebuild
-// (its user index definitions are adopted and backfilled from the local
+// the peer's checkpoint offer, checks its anchor against the peer's
+// header at that height, then streams the block bodies for
+// [0, Height) through a local engine's ApplyBlock — each block's
+// signature, linkage and Merkle root is verified once, as it lands, and
+// indexed, so every piece of derived state is rebuilt from verified
+// data. The peer's checkpoint payload is then downloaded, CRC-checked
+// and cross-validated against the local rebuild, anchor included (its
+// user index definitions are adopted and backfilled from the local
 // chain); the checkpoint finally installed is the locally derived one,
-// never the peer's bytes. A subsequent core.Open seeds all derived
-// state from that checkpoint and replays nothing; blocks past the
-// checkpoint arrive through normal gossip. reg selects the metrics
-// registry (nil = obs.Default).
-func FastSync(dataDir string, peer QueryNode, reg *obs.Registry) (*FastSyncResult, error) {
-	return FastSyncWithLog(dataDir, peer, reg, nil)
-}
-
-// FastSyncWithLog is FastSync with structured progress and rejection
-// events on log (nil disables them).
-func FastSyncWithLog(dataDir string, peer QueryNode, reg *obs.Registry, log *obs.Logger) (*FastSyncResult, error) {
+// never the peer's bytes.
+// A subsequent core.Open seeds all derived state from that checkpoint
+// and replays nothing; blocks past the checkpoint arrive through normal
+// gossip. reg selects the metrics registry (nil = obs.Default); log
+// receives progress and rejection events (nil disables them).
+func FastSync(dataDir string, peer QueryNode, reg *obs.Registry, log *obs.Logger) (*FastSyncResult, error) {
 	if reg == nil {
 		reg = obs.Default
 	}
@@ -284,38 +279,25 @@ func FastSyncWithLog(dataDir string, peer QueryNode, reg *obs.Registry, log *obs
 		log.Warn("snapshot offer rejected", "err", err)
 		return nil, err
 	}
-	log.Info("snapshot offer accepted",
-		"height", offer.Height, "bytes", offer.Size, "chunks", offer.Chunks)
-
-	// The header chain is the consensus-agreed spine: verify linkage and
-	// signatures first, then demand the offered anchor sits on it.
-	headers, err := peer.Headers(0)
+	// An offer off the peer's own chain is rejected before any transfer.
+	// This only fails fast: trust comes from ApplyBlock verifying every
+	// streamed block, and the checkpoint cross-check (snapshot.Diverges)
+	// holds the anchor to the verified tip.
+	tip, err := peer.Headers(offer.Height - 1)
 	if err != nil {
 		return nil, err
 	}
-	if uint64(len(headers)) < offer.Height {
-		return nil, fmt.Errorf("node: offer at height %d beyond peer's %d headers", offer.Height, len(headers))
+	if len(tip) == 0 || tip[0].Hash() != offer.Anchor {
+		return nil, fmt.Errorf("node: offered anchor disagrees with the peer's header at height %d", offer.Height-1)
 	}
-	for i := range headers {
-		if headers[i].Height != uint64(i) {
-			return nil, fmt.Errorf("node: header %d carries height %d", i, headers[i].Height)
-		}
-		if i > 0 && headers[i].PrevHash != headers[i-1].Hash() {
-			return nil, fmt.Errorf("node: header chain breaks at height %d", i)
-		}
-		if !headers[i].VerifySig() {
-			return nil, fmt.Errorf("node: header %d fails signature verification", i)
-		}
-	}
-	if headers[offer.Height-1].Hash() != offer.Anchor {
-		return nil, fmt.Errorf("node: offered anchor disagrees with the header chain at height %d", offer.Height-1)
-	}
+	log.Info("snapshot offer accepted",
+		"height", offer.Height, "bytes", offer.Size, "chunks", offer.Chunks)
 
 	eng, err := core.Open(core.Config{Dir: dataDir, Obs: reg})
 	if err != nil {
 		return nil, err
 	}
-	res, err := fastSyncInto(eng, offer, headers, peer, reg, log)
+	res, err := fastSyncInto(eng, offer, peer, reg, log)
 	cerr := eng.Close()
 	if err != nil {
 		return nil, err
@@ -331,24 +313,20 @@ func FastSyncWithLog(dataDir string, peer QueryNode, reg *obs.Registry, log *obs
 // fastSyncInto streams and verifies the chain into eng, rebuilds the
 // derived state, cross-checks the peer's checkpoint and persists the
 // local one. It never closes eng.
-func fastSyncInto(eng *core.Engine, offer *SnapshotOffer, headers []types.BlockHeader, peer QueryNode, reg *obs.Registry, log *obs.Logger) (*FastSyncResult, error) {
+func fastSyncInto(eng *core.Engine, offer *SnapshotOffer, peer QueryNode, reg *obs.Registry, log *obs.Logger) (*FastSyncResult, error) {
 	if eng.Height() != 0 {
 		return nil, fmt.Errorf("node: fast-sync needs an empty data directory (found %d blocks)", eng.Height())
 	}
 
-	// Stream the block bodies through the engine: ApplyBlock's append
-	// re-validates each body against its header's Merkle root, and the
-	// header must be the consensus-agreed one for that height, so the
-	// catalog, bitmaps and indexes built here derive from verified data
-	// only.
+	// Stream the block bodies through the engine: ApplyBlock checks each
+	// header's signature and linkage to the verified prefix and the body
+	// against the header's Merkle root, so the catalog, bitmaps and
+	// indexes built here derive from verified data only.
 	mBlocks := reg.Counter("sebdb_fastsync_blocks_total")
 	for h := uint64(0); h < offer.Height; h++ {
 		b, err := peer.BlockAt(h)
 		if err != nil {
 			return nil, fmt.Errorf("node: fast-sync block %d: %w", h, err)
-		}
-		if b.Header.Hash() != headers[h].Hash() {
-			return nil, fmt.Errorf("node: peer served a block %d off the agreed chain", h)
 		}
 		if err := eng.ApplyBlock(b); err != nil {
 			return nil, fmt.Errorf("node: fast-sync append %d: %w", h, err)

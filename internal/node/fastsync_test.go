@@ -40,7 +40,7 @@ func TestFastSyncOverTCP(t *testing.T) {
 
 	dir := t.TempDir()
 	reg := obs.NewRegistry(clock.UnixMicro)
-	res, err := node.FastSync(dir, peer, reg)
+	res, err := node.FastSync(dir, peer, reg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestFastSyncOverTCP(t *testing.T) {
 		t.Fatalf("bootstrapped query rows = %d, source = %d", len(got.Rows), len(want.Rows))
 	}
 	// The ALI survived the transfer: serve locally and verify.
-	if e2.AuthIndex("donate", "amount") == nil {
+	if e2.CurrentView().AuthIndex("donate", "amount") == nil {
 		t.Fatal("auth index missing after fast-sync")
 	}
 
@@ -116,26 +116,69 @@ func TestFastSyncRejectsTamperedOffer(t *testing.T) {
 	source := checkpointedNode(t, 4, 3)
 	local := &node.Local{Node: source, Name: "src"}
 
-	// An offer whose anchor is off the agreed header chain must be
-	// rejected before any transfer.
-	bad := &tamperedPeer{QueryNode: local}
-	if _, err := node.FastSync(t.TempDir(), bad, nil); err == nil {
-		t.Fatal("tampered anchor accepted")
+	// An offer whose anchor is off the peer's header chain must be
+	// rejected before any transfer. One whose anchor the peer backs with
+	// a forged header must be rejected once the streamed, verified chain
+	// ends at a different tip.
+	for _, forge := range []bool{false, true} {
+		bad := &tamperedPeer{QueryNode: local, forgeHeader: forge}
+		if _, err := node.FastSync(t.TempDir(), bad, nil, nil); err == nil {
+			t.Fatalf("tampered anchor accepted (forged header: %v)", forge)
+		}
 	}
 }
 
-// tamperedPeer relays a real node but flips a bit in the offered anchor.
+// tamperedPeer relays a real node but flips a bit in the offered anchor
+// or, with forgeHeader, anchors the offer at a forged copy of the header
+// it names and serves that copy from Headers.
 type tamperedPeer struct {
 	node.QueryNode
+	forgeHeader bool
+}
+
+// forged returns the real offer and the forged copy of its anchor header.
+func (p *tamperedPeer) forged() (*node.SnapshotOffer, types.BlockHeader, error) {
+	o, err := p.QueryNode.SnapshotOffer()
+	if err != nil {
+		return nil, types.BlockHeader{}, err
+	}
+	hs, err := p.QueryNode.Headers(o.Height - 1)
+	if err != nil {
+		return nil, types.BlockHeader{}, err
+	}
+	h := hs[0]
+	h.Timestamp++
+	return o, h, nil
 }
 
 func (p *tamperedPeer) SnapshotOffer() (*node.SnapshotOffer, error) {
-	o, err := p.QueryNode.SnapshotOffer()
+	o, h, err := p.forged()
 	if err != nil {
 		return nil, err
 	}
-	o.Anchor[0] ^= 1
+	if p.forgeHeader {
+		o.Anchor = h.Hash()
+	} else {
+		o.Anchor[0] ^= 1
+	}
 	return o, nil
+}
+
+func (p *tamperedPeer) Headers(from uint64) ([]types.BlockHeader, error) {
+	hs, err := p.QueryNode.Headers(from)
+	if err != nil || !p.forgeHeader {
+		return hs, err
+	}
+	_, h, err := p.forged()
+	if err != nil {
+		return nil, err
+	}
+	for i := range hs {
+		if hs[i].Height == h.Height {
+			hs[i] = h
+		}
+	}
+	return hs, nil
 }
 
 // poisoningPeer relays a real node but rewrites the checkpoint payload
@@ -195,7 +238,7 @@ func TestFastSyncRejectsPoisonedCheckpoint(t *testing.T) {
 	local := &node.Local{Node: source, Name: "src"}
 	bad := &poisoningPeer{QueryNode: local}
 	reg := obs.NewRegistry(clock.UnixMicro)
-	_, err := node.FastSync(t.TempDir(), bad, reg)
+	_, err := node.FastSync(t.TempDir(), bad, reg, nil)
 	if err == nil {
 		t.Fatal("poisoned checkpoint accepted")
 	}
@@ -232,7 +275,7 @@ func TestFastSyncRejectsImplausibleOfferSize(t *testing.T) {
 	source := checkpointedNode(t, 3, 2)
 	local := &node.Local{Node: source, Name: "src"}
 	bad := &hugeOfferPeer{QueryNode: local}
-	if _, err := node.FastSync(t.TempDir(), bad, nil); err == nil {
+	if _, err := node.FastSync(t.TempDir(), bad, nil, nil); err == nil {
 		t.Fatal("implausible offer size accepted")
 	}
 	if bad.chunkCalls != 0 {
@@ -308,7 +351,7 @@ func TestSnapChunkCacheFollowsCheckpoint(t *testing.T) {
 func TestFastSyncWithoutCheckpointErrors(t *testing.T) {
 	source := seededNode(t, 3, 2) // no checkpoint written
 	local := &node.Local{Node: source, Name: "src"}
-	if _, err := node.FastSync(t.TempDir(), local, nil); err == nil {
+	if _, err := node.FastSync(t.TempDir(), local, nil, nil); err == nil {
 		t.Fatal("fast-sync without a source checkpoint succeeded")
 	}
 }
@@ -317,11 +360,11 @@ func TestFastSyncRefusesNonEmptyDir(t *testing.T) {
 	source := checkpointedNode(t, 3, 2)
 	local := &node.Local{Node: source, Name: "src"}
 	dir := t.TempDir()
-	if _, err := node.FastSync(dir, local, nil); err != nil {
+	if _, err := node.FastSync(dir, local, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	// A second sync into the now-populated directory must refuse.
-	if _, err := node.FastSync(dir, local, nil); err == nil {
+	if _, err := node.FastSync(dir, local, nil, nil); err == nil {
 		t.Fatal("fast-sync into a populated directory succeeded")
 	}
 }

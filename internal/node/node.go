@@ -6,6 +6,7 @@ package node
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"net"
 	"sync"
 	"time"
@@ -48,7 +49,7 @@ type snapCache struct {
 // New wraps an engine as a full node.
 func New(engine *core.Engine) *FullNode {
 	n := &FullNode{Engine: engine}
-	n.Gossip = network.NewGossiper(engine, 100*time.Millisecond)
+	n.Gossip = network.NewGossiper(engine, 100*time.Millisecond, rand.Uint64())
 	n.server = network.NewServer()
 	n.server.Handle(network.KindHeight, n.handleHeight)
 	n.server.Handle(network.KindBlock, n.handleBlock)
@@ -106,7 +107,7 @@ func (n *FullNode) handleBlock(payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	b, err := n.Engine.Block(h)
+	b, err := n.Engine.CurrentView().Block(h)
 	if err != nil {
 		return nil, err
 	}

@@ -27,7 +27,7 @@ func TestNodeServeSQLGossipStress(t *testing.T) {
 	}
 	t.Cleanup(func() { e2.Close() })
 	follower := node.New(e2)
-	follower.Gossip = network.NewGossiperSeeded(e2, time.Millisecond, 7)
+	follower.Gossip = network.NewGossiper(e2, time.Millisecond, 7)
 	t.Cleanup(func() { _ = follower.Close() })
 
 	peer, err := node.DialNode(addr)

@@ -146,7 +146,7 @@ func (l *Local) ID() string { return l.Name }
 func (l *Local) Height() (uint64, error) { return l.Node.Engine.Height(), nil }
 
 // BlockAt reads a local block.
-func (l *Local) BlockAt(h uint64) (*types.Block, error) { return l.Node.Engine.Block(h) }
+func (l *Local) BlockAt(h uint64) (*types.Block, error) { return l.Node.Engine.CurrentView().Block(h) }
 
 // Headers returns local headers from the given height.
 func (l *Local) Headers(from uint64) ([]types.BlockHeader, error) {

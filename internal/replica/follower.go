@@ -1,7 +1,6 @@
 package replica
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -253,31 +252,14 @@ func decodePush(payload []byte) (leaderH uint64, blockBytes []byte, err error) {
 	return leaderH, blockBytes, nil
 }
 
-// applyPushed verifies one pushed block against the follower's local
-// chain and applies it. The verification chain is the same as
-// fast-sync's: the header must carry a valid packager signature and
-// extend the local chain (height + PrevHash against our verified tip);
-// ApplyBlock then Merkle-checks the body against the header and the
-// store re-enforces linkage on append. Nothing from the wire reaches
-// any state sink except through ApplyBlock.
+// applyPushed decodes one pushed block and applies it. ApplyBlock
+// enforces the whole foreign-block rule — packager signature, height and
+// PrevHash against the local tip, Merkle root — so nothing from the
+// wire reaches any state sink unverified.
 func (f *Follower) applyPushed(blockBytes []byte) error {
 	b, err := types.DecodeBlock(types.NewDecoder(blockBytes))
 	if err != nil {
 		return fmt.Errorf("replica: undecodable block: %w", err)
-	}
-	h := f.eng.Height()
-	if b.Header.Height != h {
-		return fmt.Errorf("replica: pushed block height %d, want %d", b.Header.Height, h)
-	}
-	if !b.Header.VerifySig() {
-		return errors.New("replica: pushed block has invalid packager signature")
-	}
-	if tip := f.eng.CurrentView().Tip(); tip != nil {
-		if b.Header.PrevHash != tip.Hash() {
-			return errors.New("replica: pushed block does not link to local tip")
-		}
-	} else if b.Header.PrevHash != (types.Hash{}) {
-		return errors.New("replica: genesis push carries a non-zero prev hash")
 	}
 	start := f.reg.Now()
 	if err := f.eng.ApplyBlock(b); err != nil {

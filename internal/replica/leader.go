@@ -4,14 +4,14 @@
 // re-verifies every block against the signed header chain and applies it
 // through the engine's ApplyBlock pipeline.
 //
-// The trust model is the same as fast-sync's (see internal/node): a
-// follower NEVER installs peer state. Every pushed block must carry a
-// valid packager signature (BlockHeader.VerifySig) and extend the
-// follower's locally verified chain (height + PrevHash linkage, enforced
-// again by the store on append), and all derived state — catalog,
-// bitmaps, layered indexes, ALIs — is rebuilt locally by ApplyBlock,
-// which also Merkle-checks the body against the header. A leader that
-// lies can only stall a follower, never corrupt it.
+// The trust model is the same as fast-sync's and gossip's (see
+// internal/node): a follower NEVER installs peer state. Every pushed
+// block goes through core.Engine.ApplyBlock, which demands a valid
+// packager signature, extension of the follower's locally verified
+// chain (height + PrevHash) and a body matching the header's Merkle
+// root; all derived state — catalog, bitmaps, layered indexes, ALIs —
+// is rebuilt locally from it. A leader that lies can only stall a
+// follower, never corrupt it.
 //
 // The wire protocol is one KindSubscribe request frame carrying a uint64
 // height cursor ("I have blocks [0, cursor)"), answered by an open-ended
@@ -111,7 +111,11 @@ func (l *Leader) serve(payload []byte, conn net.Conn) {
 		l.refuse(conn, "replica: malformed subscribe cursor")
 		return
 	}
-	h := l.eng.Height()
+	// Every read goes through a pinned view, and the drain is bounded by
+	// that view's height: the store count can briefly run ahead of the
+	// published view, and a view refuses reads past its own height.
+	v := l.eng.CurrentView()
+	h := v.Height()
 	if cursor > h {
 		// A cursor past our height means the follower tracked a different
 		// (or wiped) leader; refusing is the only safe answer.
@@ -133,9 +137,9 @@ func (l *Leader) serve(payload []byte, conn net.Conn) {
 	defer ticker.Stop()
 	for {
 		// Drain everything the subscriber is missing. Block reads go
-		// through the engine's lock-free store/cache path.
+		// through the view's lock-free store/cache path.
 		for next < h {
-			b, err := l.eng.Block(next)
+			b, err := v.Block(next)
 			if err != nil {
 				l.log.Error("subscription read failed", "height", next, "err", err.Error())
 				return
@@ -152,15 +156,16 @@ func (l *Leader) serve(payload []byte, conn net.Conn) {
 		// height — publish closes-and-replaces the channel, so checking
 		// first would race a commit landing in between.
 		sig := l.eng.HeightSignal()
-		if nh := l.eng.Height(); nh > h {
-			h = nh
+		if nv := l.eng.CurrentView(); nv.Height() > h {
+			v, h = nv, nv.Height()
 			continue
 		}
 		select {
 		case <-l.stop:
 			return
 		case <-sig:
-			h = l.eng.Height()
+			v = l.eng.CurrentView()
+			h = v.Height()
 		case <-ticker.C:
 			if err := l.push(conn, h, nil); err != nil {
 				l.log.Info("subscription ended", "peer", conn.RemoteAddr().String(),

@@ -252,7 +252,7 @@ func (tl *tamperingLeader) serve(payload []byte, conn net.Conn) {
 	session := tl.sessions.Add(1)
 	h := tl.src.Height()
 	for next := cursor; next < h; next++ {
-		b, err := tl.src.Block(next)
+		b, err := tl.src.CurrentView().Block(next)
 		if err != nil {
 			return
 		}
@@ -323,11 +323,11 @@ func TestForgedSignatureRejected(t *testing.T) {
 	src, _ := openEngine(t, t.TempDir())
 	defer src.Close()
 	seedChain(t, src, 1)
-	b, err := src.Block(0)
+	b, err := src.CurrentView().Block(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Strip the signature: VerifySig must fail before ApplyBlock runs.
+	// Strip the signature: ApplyBlock's signature check must reject it.
 	forged := *b
 	forged.Header.Signature = nil
 

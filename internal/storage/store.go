@@ -418,18 +418,12 @@ func encodeRecord(magic uint32, payload []byte) []byte {
 }
 
 func (s *Store) checkLinkage(h *types.BlockHeader) error {
-	if len(s.headers) == 0 {
-		if h.Height != 0 {
-			return fmt.Errorf("%w: first block has height %d", ErrNotLinked, h.Height)
-		}
-		return nil
+	var tip *types.BlockHeader
+	if n := len(s.headers); n > 0 {
+		tip = &s.headers[n-1]
 	}
-	tip := &s.headers[len(s.headers)-1]
-	if h.Height != tip.Height+1 {
-		return fmt.Errorf("%w: height %d after %d", ErrNotLinked, h.Height, tip.Height)
-	}
-	if h.PrevHash != tip.Hash() {
-		return fmt.Errorf("%w: prev hash mismatch at height %d", ErrNotLinked, h.Height)
+	if err := h.Links(tip); err != nil {
+		return fmt.Errorf("%w: %v", ErrNotLinked, err)
 	}
 	return nil
 }

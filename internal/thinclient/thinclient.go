@@ -43,23 +43,23 @@ func (c *Client) Header(h uint64) (types.BlockHeader, error) {
 }
 
 // SyncHeaders pulls headers the client is missing from a full node,
-// checking chain linkage as it appends — a header that does not extend
-// the verified prefix is rejected.
+// checking each with types.BlockHeader.Extends as it appends — a header
+// that does not extend the verified prefix, or whose packager signature
+// fails, is rejected.
 func (c *Client) SyncHeaders(n node.QueryNode) error {
 	hs, err := n.Headers(uint64(len(c.headers)))
 	if err != nil {
 		return err
 	}
-	for _, h := range hs {
+	for i := range hs {
+		var tip *types.BlockHeader
 		if len(c.headers) > 0 {
-			tip := c.headers[len(c.headers)-1]
-			if h.Height != tip.Height+1 || h.PrevHash != tip.Hash() {
-				return fmt.Errorf("thinclient: header %d does not link", h.Height)
-			}
-		} else if h.Height != 0 {
-			return fmt.Errorf("thinclient: first header has height %d", h.Height)
+			tip = &c.headers[len(c.headers)-1]
 		}
-		c.headers = append(c.headers, h)
+		if err := hs[i].Extends(tip); err != nil {
+			return fmt.Errorf("thinclient: %w", err)
+		}
+		c.headers = append(c.headers, hs[i])
 	}
 	return nil
 }

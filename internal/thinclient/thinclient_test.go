@@ -58,7 +58,7 @@ func cluster(t testing.TB, k, nBlocks, txPerBlock int) ([]*node.FullNode, []node
 		}
 	}
 	for h := uint64(0); h < e0.Height(); h++ {
-		blk, err := e0.Block(h)
+		blk, err := e0.CurrentView().Block(h)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,10 +222,39 @@ func TestSyncHeadersRejectsForks(t *testing.T) {
 	}
 }
 
+// strippedHeaderNode relays a real node but serves the header at height
+// strip without its packager signature; linkage stays intact, since the
+// block hash does not cover the signature.
+type strippedHeaderNode struct {
+	node.QueryNode
+	strip uint64
+}
+
+func (s strippedHeaderNode) Headers(from uint64) ([]types.BlockHeader, error) {
+	hs, err := s.QueryNode.Headers(from)
+	for i := range hs {
+		if hs[i].Height == s.strip {
+			hs[i].Signature = nil
+		}
+	}
+	return hs, err
+}
+
+func TestSyncHeadersRejectsUnsignedHeader(t *testing.T) {
+	_, qn, _ := cluster(t, 1, 3, 4)
+	tc := thinclient.New(1)
+	if err := tc.SyncHeaders(strippedHeaderNode{QueryNode: qn[0], strip: 2}); err == nil {
+		t.Fatal("header without a packager signature accepted")
+	}
+	if tc.Height() != 2 {
+		t.Errorf("synced %d headers, want the 2 before the unsigned one", tc.Height())
+	}
+}
+
 func TestVerifyMembership(t *testing.T) {
 	nodes, _, tc := cluster(t, 1, 3, 5)
 	e := nodes[0].Engine
-	blk, err := e.Block(1)
+	blk, err := e.CurrentView().Block(1)
 	if err != nil {
 		t.Fatal(err)
 	}

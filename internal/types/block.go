@@ -69,6 +69,37 @@ func (h *BlockHeader) VerifySig() bool {
 	return ed25519.Verify(ed25519.PublicKey(h.SignerKey), h.hashContent(), h.Signature)
 }
 
+// Links checks that h may follow prev on a chain: prev nil means h must
+// be the genesis block, with an all-zero PrevHash.
+func (h *BlockHeader) Links(prev *BlockHeader) error {
+	var height uint64
+	var prevHash Hash
+	if prev != nil {
+		height, prevHash = prev.Height+1, prev.Hash()
+	}
+	if h.Height != height {
+		return fmt.Errorf("types: block height %d, want %d", h.Height, height)
+	}
+	if h.PrevHash != prevHash {
+		return fmt.Errorf("types: block %d does not link to its predecessor", h.Height)
+	}
+	return nil
+}
+
+// Extends is Links plus a valid packager signature: the header half of
+// the rule every block or header received from a peer must pass. The
+// linkage is checked first, so an unlinked header costs no signature
+// verification.
+func (h *BlockHeader) Extends(prev *BlockHeader) error {
+	if err := h.Links(prev); err != nil {
+		return err
+	}
+	if !h.VerifySig() {
+		return fmt.Errorf("types: block %d has an invalid packager signature", h.Height)
+	}
+	return nil
+}
+
 // Encode serialises the header.
 func (h *BlockHeader) Encode(e *Encoder) {
 	e.Bytes32(h.PrevHash)
@@ -235,25 +266,10 @@ func DecodeBlock(d *Decoder) (*Block, error) {
 
 // Validate checks the block's internal consistency: the declared
 // transaction count, first Tid, Merkle root, and the monotonicity of
-// transaction ids. It does not check chain linkage (the store does) or
-// signatures (membership policy decides which signers are acceptable).
+// transaction ids. It does not check chain linkage (Links does) or
+// signatures (Extends does).
 func (b *Block) Validate() error {
-	if int(b.Header.TxCount) != len(b.Txs) {
-		return fmt.Errorf("types: block %d declares %d txs, has %d",
-			b.Header.Height, b.Header.TxCount, len(b.Txs))
-	}
-	if len(b.Txs) > 0 && b.Header.FirstTid != b.Txs[0].Tid {
-		return fmt.Errorf("types: block %d first tid mismatch", b.Header.Height)
-	}
-	for i := 1; i < len(b.Txs); i++ {
-		if b.Txs[i].Tid <= b.Txs[i-1].Tid {
-			return fmt.Errorf("types: block %d tids not increasing at %d", b.Header.Height, i)
-		}
-	}
-	if merkle.Root(TxLeaves(b.Txs)) != b.Header.TransRoot {
-		return fmt.Errorf("types: block %d merkle root mismatch", b.Header.Height)
-	}
-	return nil
+	return b.validate(func() Hash { return merkle.Root(TxLeaves(b.Txs)) })
 }
 
 // ValidateWorkers is Validate with the Merkle-root recomputation — the
@@ -262,6 +278,14 @@ func (b *Block) Validate() error {
 // pipeline's prepare stage uses it so foreign blocks are verified off
 // the engine lock.
 func (b *Block) ValidateWorkers(workers int) error {
+	return b.validate(func() Hash {
+		return merkle.RootWorkers(TxLeavesWorkers(b.Txs, workers), workers)
+	})
+}
+
+// validate runs the checks Validate and ValidateWorkers share; root
+// recomputes the Merkle root, the last and costliest check.
+func (b *Block) validate(root func() Hash) error {
 	if int(b.Header.TxCount) != len(b.Txs) {
 		return fmt.Errorf("types: block %d declares %d txs, has %d",
 			b.Header.Height, b.Header.TxCount, len(b.Txs))
@@ -274,7 +298,7 @@ func (b *Block) ValidateWorkers(workers int) error {
 			return fmt.Errorf("types: block %d tids not increasing at %d", b.Header.Height, i)
 		}
 	}
-	if merkle.RootWorkers(TxLeavesWorkers(b.Txs, workers), workers) != b.Header.TransRoot {
+	if root() != b.Header.TransRoot {
 		return fmt.Errorf("types: block %d merkle root mismatch", b.Header.Height)
 	}
 	return nil
